@@ -1066,14 +1066,15 @@ fn on_death(
     alive[w] = false;
     ctx.log.record(now, FaultKind::WorkerDetected { rank: w });
 
-    // A score message from the dead rank may still be on the wire. Leak
-    // its posted receives rather than cancel them, so a rendezvous
-    // transfer in flight can still match and complete; nobody reads it.
+    // A score message from the dead rank may still be on the wire.
+    // Abandon its posted receives rather than cancel them, so a
+    // rendezvous transfer in flight can still match and complete; nobody
+    // reads it.
     let mut i = 0;
     while i < pending_scores.len() {
         if pending_scores[i].0 == w {
             let (_, req) = pending_scores.swap_remove(i);
-            std::mem::forget(req);
+            req.abandon();
         } else {
             i += 1;
         }

@@ -856,13 +856,13 @@ fn handle_master_dead(
     // (their owner is gone); the successor rebuilds their batches.
     queue.retain(|&(_, _, o)| o != dead);
 
-    // A steal aimed at the dead shard will never be answered. Leak the
-    // posted receive rather than cancel it: a response already in flight
-    // (in rendezvous) can still match and complete; nobody reads it.
+    // A steal aimed at the dead shard will never be answered. Abandon
+    // the posted receive rather than cancel it: a response already in
+    // flight (in rendezvous) can still match and complete; nobody reads it.
     if let Some((victim, _, _)) = outstanding_steal {
         if *victim == dead {
             let (_, rx, _) = outstanding_steal.take().expect("checked above");
-            std::mem::forget(rx);
+            rx.abandon();
         }
     }
 
@@ -1071,11 +1071,11 @@ pub(crate) async fn run_shard_worker(
                 }
                 if rehomed {
                     // The old request was absorbed by the dead master.
-                    // Leak the posted receive (an assignment already in
+                    // Abandon the posted receive (an assignment already in
                     // flight may still match it; nobody will read it —
                     // its task is un-scored, so the successor's rebuild
                     // covers it) and re-ask the new home.
-                    std::mem::forget(assign_rx);
+                    assign_rx.abandon();
                     timer
                         .track(
                             Phase::Recovery,

@@ -763,34 +763,26 @@ impl<T: 'static> JoinHandle<T> {
     /// awaiting — for collecting results after [`Sim::run`] returns.
     /// Returns `None` if the task has not finished (or was already taken).
     pub fn take_output(self) -> Option<T> {
-        let out = {
+        let value = {
             let mut c = self.sim.sh.core.borrow_mut();
             let slot = &mut c.slots[self.task.idx as usize];
-            slot.handle_live = false;
+            // A live handle blocks recycling, so a generation mismatch can
+            // only mean "our task done".
             if slot.gen != self.task.gen {
-                let v = slot.value.take();
-                c.free.push(self.task.idx);
-                v.map(|b| *b.downcast::<T>().expect("join output type mismatch"))
+                slot.value.take()
             } else {
                 None
             }
         };
-        std::mem::forget(self); // slot claim already released above
-        out
+        // Dropping `self` releases the slot claim (and its `Sim` handle).
+        value.map(|b| *b.downcast::<T>().expect("join output type mismatch"))
     }
 
     /// Wait for the task to finish and take its output.
     ///
     /// Panics if the output has already been taken by another `join`.
     pub fn join(self) -> Join<T> {
-        let j = Join {
-            task: self.task,
-            sim: self.sim.clone(),
-            finished: false,
-            _out: PhantomData,
-        };
-        std::mem::forget(self); // the Join future inherits the slot claim
-        j
+        Join { handle: Some(self) }
     }
 }
 
@@ -800,41 +792,39 @@ impl<T> Drop for JoinHandle<T> {
     }
 }
 
-/// Future returned by [`JoinHandle::join`].
+/// Future returned by [`JoinHandle::join`]. It owns the handle, so the
+/// slot claim is released exactly once: when the output is taken, or when
+/// the future is dropped unfinished.
 pub struct Join<T> {
-    task: TaskId,
-    sim: Sim,
-    finished: bool,
-    _out: PhantomData<fn() -> T>,
+    handle: Option<JoinHandle<T>>,
 }
 
 impl<T: 'static> Future for Join<T> {
     type Output = T;
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
         let this = self.get_mut();
+        let h = this.handle.as_ref().expect("Join polled after completion");
         let me = current_task();
-        let mut c = this.sim.sh.core.borrow_mut();
-        let slot = &mut c.slots[this.task.idx as usize];
-        if slot.gen != this.task.gen {
-            let v = slot.value.take().expect("task output already taken");
-            slot.handle_live = false;
-            this.finished = true;
-            c.free.push(this.task.idx);
-            Poll::Ready(*v.downcast::<T>().expect("join output type mismatch"))
-        } else {
-            if !slot.join_waiters.contains(&me) {
-                slot.join_waiters.push(me);
+        let value = {
+            let mut c = h.sim.sh.core.borrow_mut();
+            let slot = &mut c.slots[h.task.idx as usize];
+            if slot.gen != h.task.gen {
+                Some(slot.value.take().expect("task output already taken"))
+            } else {
+                if !slot.join_waiters.contains(&me) {
+                    slot.join_waiters.push(me);
+                }
+                c.slots[me.idx as usize].blocked_on = Some("task join");
+                None
             }
-            c.slots[me.idx as usize].blocked_on = Some("task join");
-            Poll::Pending
-        }
-    }
-}
-
-impl<T> Drop for Join<T> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.sim.release_handle(self.task);
+        };
+        match value {
+            Some(v) => {
+                // Recycle the finished task's slot now, as the output is out.
+                this.handle = None;
+                Poll::Ready(*v.downcast::<T>().expect("join output type mismatch"))
+            }
+            None => Poll::Pending,
         }
     }
 }
@@ -955,6 +945,29 @@ mod tests {
             assert_eq!(s.now(), SimTime::from_secs(1));
         });
         sim.run().unwrap();
+    }
+
+    #[test]
+    fn engine_is_freed_after_run_join_and_take_output() {
+        let sim = Sim::new();
+        let engine = Rc::downgrade(&sim.sh);
+        let s = sim.clone();
+        let outer = sim.spawn("outer", async move {
+            let joined = s.spawn("joined", async { 3u32 });
+            let unjoined = s.spawn("unjoined", async { 4u32 });
+            s.sleep(SimTime::from_secs(1)).await;
+            drop(unjoined);
+            joined.join().await
+        });
+        let late = sim.spawn("late", async { 5u32 });
+        sim.run().unwrap();
+        assert_eq!(outer.take_output(), Some(3));
+        assert_eq!(late.take_output(), Some(5));
+        drop(sim);
+        assert!(
+            engine.upgrade().is_none(),
+            "a finished run must not leave its engine allocated"
+        );
     }
 
     #[test]

@@ -842,6 +842,7 @@ impl Comm {
             world: Rc::clone(&self.world),
             me_world,
             members: self.members.clone(),
+            cancel_on_drop: true,
         }
     }
 
@@ -887,6 +888,9 @@ pub struct RecvRequest {
     world: Rc<WorldInner>,
     me_world: Rank,
     members: Members,
+    /// False once [`RecvRequest::abandon`]ed: dropping then leaves the
+    /// posted receive in the mailbox.
+    cancel_on_drop: bool,
 }
 
 impl RecvRequest {
@@ -956,6 +960,15 @@ impl RecvRequest {
         self.world.register_waiter(self.me_world);
     }
 
+    /// Give up on this receive without cancelling it: the posted receive
+    /// stays in the mailbox, so a message already on its way (say, a
+    /// rendezvous transfer in flight) still matches it and completes, and
+    /// nobody reads the result. The handle's own references (to the
+    /// world, and through it the engine) are released.
+    pub fn abandon(mut self) {
+        self.cancel_on_drop = false;
+    }
+
     /// `MPI_Wait`: suspend until the message arrives, then return it.
     pub fn wait(self) -> RecvWait {
         RecvWait { req: Some(self) }
@@ -967,7 +980,10 @@ impl Drop for RecvRequest {
         // Deregister an unmatched posted receive so it cannot swallow a
         // future message (dropping a pending request is MPI_Cancel-like).
         // Matched receives were unlinked at match time — the common case,
-        // and O(1) to detect.
+        // and O(1) to detect. An abandoned receive stays posted.
+        if !self.cancel_on_drop {
+            return;
+        }
         let key = {
             let p = self.state.borrow();
             if p.matched {
@@ -1045,5 +1061,47 @@ impl std::fmt::Debug for RecvRequest {
 impl std::fmt::Debug for RecvWait {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RecvWait").finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn abandoned_receive_stays_posted_and_releases_the_world() {
+        let sim = Sim::new();
+        let world = World::new(&sim, 2, MpiConfig::default());
+        let weak = Rc::downgrade(&world.inner);
+        let (c0, c1) = (world.comm(0), world.comm(1));
+        let got = Rc::new(Cell::new(0u32));
+        let g = Rc::clone(&got);
+        sim.spawn("rank0", async move {
+            c0.irecv(1, 7).abandon();
+            // The abandoned receive was posted first, so it swallows the
+            // first message; this one matches the second.
+            g.set(c0.recv(1, 7).await.downcast::<u32>());
+        });
+        sim.spawn("rank1", async move {
+            c1.send(0, 7, 1u32, 8).await;
+            c1.send(0, 7, 2u32, 8).await;
+        });
+        sim.run().unwrap();
+        assert_eq!(got.get(), 2);
+        drop(world);
+        assert!(
+            weak.upgrade().is_none(),
+            "an abandoned receive must not keep its world alive"
+        );
+    }
+
+    #[test]
+    fn abandoned_unmatched_receive_releases_the_world() {
+        let sim = Sim::new();
+        let world = World::new(&sim, 2, MpiConfig::default());
+        let weak = Rc::downgrade(&world.inner);
+        world.comm(0).irecv(1, 7).abandon();
+        drop(world);
+        assert!(weak.upgrade().is_none());
     }
 }

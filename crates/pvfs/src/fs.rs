@@ -27,11 +27,15 @@
 //! the servers' per-request overheads saturate.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
-use s3a_des::{Semaphore, Sim, SimTime, Timeline};
+use s3a_des::{current_task, Semaphore, Sim, SimTime, TaskId, Timeline};
 use s3a_faults::{FaultKind, FaultLog, FaultSchedule};
 use s3a_net::{Bandwidth, EndpointId, Fabric};
 use s3a_obs::{ObsSink, Track};
@@ -1098,6 +1102,18 @@ impl FileHandle {
     /// dirty bytes to disk — even when a server has nothing dirty, which
     /// is what makes frequent syncing from many clients expensive.
     /// Requests to distinct servers proceed in parallel.
+    ///
+    /// The per-server fan-out runs as **one** engine task
+    /// (`SyncFlushes`), not one task per server: its first poll books
+    /// every client→server request in server order, and each later poll
+    /// advances exactly one server's flush whose wait has ended. Each wait
+    /// is a timed wake-up booked on the engine at the instant a dedicated
+    /// per-server task would have booked it, so the engine's `(time,
+    /// sequence)` order — and with it every simulated number — is what a
+    /// task per server produces. The caller still collects server 0, 1, …
+    /// in order and is woken the moment the server it waits on finishes,
+    /// so dead-server accounting and dirty-byte restores happen at the
+    /// same instants too.
     pub async fn sync(&self, client_ep: EndpointId) -> Result<(), PvfsError> {
         let san = self.fs.san();
         let claimed = san.sync_begin(&self.name);
@@ -1111,61 +1127,37 @@ impl FileHandle {
             }
             d
         };
-        let sim = self.fs.sim.clone();
-        let mut joins = Vec::new();
-        for (s, bytes) in dirty.iter().copied().enumerate() {
-            let fs = Rc::clone(&self.fs);
-            let sm = sim.clone();
-            joins.push(sim.spawn("pvfs-sync", async move {
-                let cfg = &fs.cfg;
-                fs.fabric
-                    .transfer(&sm, client_ep, fs.server_ep(s), cfg.req_header_bytes)
-                    .await;
-                let service = cfg.sync_overhead + cfg.disk_bw.transfer_time(bytes);
-                let info = serve_with_faults(&fs, &sm, s, service).await?;
-                let t_served = sm.now();
-                fs.fabric
-                    .transfer(&sm, fs.server_ep(s), client_ep, cfg.req_header_bytes)
-                    .await;
-                fs.bump(|st| {
-                    st.syncs += 1;
-                    st.bytes_flushed += bytes;
-                });
-                let obs = fs.obs();
-                if obs.is_recording() {
-                    obs.span(
-                        Track::Server(s),
-                        "pvfs.sync",
-                        t_served - info.service,
-                        t_served,
-                        &[("bytes", bytes), ("queue_ns", info.queue_wait.as_nanos())],
-                    );
-                    obs.add("pvfs.sync_requests", 1);
-                    if bytes > 0 {
-                        // The flush drained this server's write-back cache.
-                        obs.sample(Track::Server(s), "pvfs.dirty_bytes", t_served, 0);
-                    }
-                }
-                Ok(())
-            }));
-        }
+        let outcome = Rc::new(SyncOutcome {
+            results: RefCell::new(vec![None; dirty.len()]),
+            waiter: Cell::new(None),
+        });
+        // Nobody joins the task: results come back through `outcome`.
+        drop(self.fs.sim.spawn(
+            "pvfs-sync",
+            SyncFlushes::new(&self.fs, client_ep, &dirty, &outcome),
+        ));
         let mut result = Ok(());
-        for (s, j) in joins.into_iter().enumerate() {
-            if let Err(e) = j.join().await {
+        for (s, &bytes) in dirty.iter().enumerate() {
+            let flushed = FlushResult {
+                outcome: &outcome,
+                server: s,
+                sim: &self.fs.sim,
+            };
+            if let Err(e) = flushed.await {
                 if self.fs.cfg.replicas > 1 && self.fs.presumed_dead(s) {
                     // The server is dead, not slow: its cache — and these
                     // dirty bytes — are gone for good. Retrying the flush
                     // would lie about durability; the data survives only
                     // through the other replicas, which the repair
                     // planner re-spreads.
-                    self.fs.bump(|st| st.lost_flush_bytes += dirty[s]);
+                    self.fs.bump(|st| st.lost_flush_bytes += bytes);
                     continue;
                 }
                 // This server's flush never reached its disk: put the
                 // claimed bytes back so the retry (or the restart's sync)
                 // flushes them — and pays their full `disk_bw` time —
                 // instead of silently dropping them from accounting.
-                self.file.meta.borrow_mut().dirty[s] += dirty[s];
+                self.file.meta.borrow_mut().dirty[s] += bytes;
                 if result.is_ok() {
                     result = Err(e);
                 }
@@ -1236,72 +1228,365 @@ struct ServeInfo {
     service: SimTime,
 }
 
-/// Wait out any outage window on `server` (backing off up to the retry
-/// budget), then serve `service` scaled by any active slowdown window.
-/// This is the single choke point through which every server request
-/// experiences injected degradation — and through which observability
-/// sees every queue entry/exit.
-async fn serve_with_faults(
-    fs: &Rc<FsInner>,
-    sim: &Sim,
+/// What a request arriving at (or retrying) a server does next.
+enum Admission {
+    /// Give up: the server is fenced, or stayed down through every retry.
+    Fail(PvfsError),
+    /// The server is down: back off this long, then ask again.
+    Retry(SimTime),
+    /// Join the server's FIFO queue for this (slowdown-scaled) service.
+    Serve(SimTime),
+}
+
+/// The decision half of serving under injected faults, shared by the
+/// async request paths ([`serve_with_faults`]) and the sync flush machine
+/// ([`SyncFlushes`]): at `now`, may a request needing `service` enter
+/// `server`'s queue? `retries` counts the back-offs already spent and is
+/// bumped (and logged) on [`Admission::Retry`]. Fencing is checked on the
+/// first attempt only, as the request arrives.
+fn admit(
+    fs: &FsInner,
     server: usize,
+    now: SimTime,
     service: SimTime,
-) -> Result<ServeInfo, PvfsError> {
+    retries: &mut u32,
+) -> Admission {
     // Fencing: a server the planner declared dead fails fast instead of
     // burning the whole retry/backoff budget. The set is only ever
     // populated by the replicated-mode planner, so unreplicated runs
     // never take this branch.
-    if fs.dead.borrow().contains(&server) {
-        return Err(PvfsError::ServerUnavailable { server, retries: 0 });
+    if *retries == 0 && fs.dead.borrow().contains(&server) {
+        return Admission::Fail(PvfsError::ServerUnavailable { server, retries: 0 });
     }
-    let hooks = fs.fault_hooks();
-    let service = if let Some((sched, log)) = &hooks {
-        let p = sched.params();
-        let mut retries = 0u32;
-        while sched.server_outage_until(server, sim.now()).is_some() {
-            if retries >= p.max_io_retries {
-                return Err(PvfsError::ServerUnavailable { server, retries });
-            }
-            retries += 1;
-            log.record(sim.now(), FaultKind::IoRetry { server });
-            sim.sleep(p.io_retry_backoff).await;
+    let faults = fs.faults.borrow();
+    let Some(f) = faults.as_ref() else {
+        return Admission::Serve(service);
+    };
+    let p = f.schedule.params();
+    if f.schedule.server_outage_until(server, now).is_some() {
+        if *retries >= p.max_io_retries {
+            return Admission::Fail(PvfsError::ServerUnavailable {
+                server,
+                retries: *retries,
+            });
         }
-        let factor = sched.server_delay_factor(server, sim.now());
-        if factor > 1.0 {
-            SimTime::from_secs_f64(service.as_secs_f64() * factor)
-        } else {
-            service
-        }
+        *retries += 1;
+        f.log.record(now, FaultKind::IoRetry { server });
+        return Admission::Retry(p.io_retry_backoff);
+    }
+    let factor = f.schedule.server_delay_factor(server, now);
+    Admission::Serve(if factor > 1.0 {
+        SimTime::from_secs_f64(service.as_secs_f64() * factor)
     } else {
         service
-    };
+    })
+}
+
+/// Book `service` on `server`'s FIFO queue at `now`. Returns the time the
+/// request waits before service starts, and the instant service ends.
+fn enqueue(fs: &FsInner, server: usize, now: SimTime, service: SimTime) -> (SimTime, SimTime) {
+    let srv = &fs.servers[server];
     let obs = fs.obs();
     if obs.is_recording() {
-        let srv = &fs.servers[server];
         srv.depth.set(srv.depth.get() + 1);
         obs.sample(
             Track::Server(server),
             "pvfs.queue_depth",
-            sim.now(),
+            now,
             srv.depth.get(),
         );
     }
-    let queue_wait = fs.servers[server].queue.serve(sim, service).await;
+    let (start, end) = srv.queue.reserve(now, service);
+    (start - now, end)
+}
+
+/// A request leaves `server` at `now`, its service done after waiting
+/// `queue_wait` in the queue.
+fn dequeue(fs: &FsInner, server: usize, now: SimTime, queue_wait: SimTime) {
+    let obs = fs.obs();
     if obs.is_recording() {
         let srv = &fs.servers[server];
         srv.depth.set(srv.depth.get() - 1);
         obs.sample(
             Track::Server(server),
             "pvfs.queue_depth",
-            sim.now(),
+            now,
             srv.depth.get(),
         );
         obs.observe_time("pvfs.queue_wait_ns", queue_wait);
     }
+}
+
+/// Wait out any outage window on `server` (backing off up to the retry
+/// budget), then serve `service` scaled by any active slowdown window.
+/// This is the single choke point through which every data request
+/// experiences injected degradation — and through which observability
+/// sees every queue entry/exit. Sync flushes take the same steps inside
+/// [`SyncFlushes`].
+async fn serve_with_faults(
+    fs: &Rc<FsInner>,
+    sim: &Sim,
+    server: usize,
+    service: SimTime,
+) -> Result<ServeInfo, PvfsError> {
+    let mut retries = 0u32;
+    let service = loop {
+        match admit(fs, server, sim.now(), service, &mut retries) {
+            Admission::Fail(e) => return Err(e),
+            Admission::Retry(backoff) => sim.sleep(backoff).await,
+            Admission::Serve(service) => break service,
+        }
+    };
+    let (queue_wait, end) = enqueue(fs, server, sim.now(), service);
+    sim.sleep_until(end).await;
+    dequeue(fs, server, sim.now(), queue_wait);
     Ok(ServeInfo {
         queue_wait,
         service,
     })
+}
+
+/// Where a sync's caller collects each server's flush result.
+struct SyncOutcome {
+    results: RefCell<Vec<Option<Result<(), PvfsError>>>>,
+    /// The caller, parked on the result for server `.0`.
+    waiter: Cell<Option<(usize, TaskId)>>,
+}
+
+/// Future for one server's flush result within a sync.
+struct FlushResult<'a> {
+    outcome: &'a SyncOutcome,
+    server: usize,
+    sim: &'a Sim,
+}
+
+impl Future for FlushResult<'_> {
+    type Output = Result<(), PvfsError>;
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        if let Some(r) = self.outcome.results.borrow_mut()[self.server].take() {
+            return Poll::Ready(r);
+        }
+        let me = current_task();
+        self.outcome.waiter.set(Some((self.server, me)));
+        self.sim.note_blocked(me, "sync flush");
+        Poll::Pending
+    }
+}
+
+/// Where one server's flush is.
+#[derive(Clone, Copy)]
+enum FlushStage {
+    /// The flush request is on the wire to the server.
+    Request,
+    /// The server was down; backing off before asking again.
+    Backoff,
+    /// Queued, then served, at the server.
+    Service {
+        queue_wait: SimTime,
+        service: SimTime,
+    },
+    /// The reply is on the wire back; the server finished at `served`.
+    Reply {
+        served: SimTime,
+        queue_wait: SimTime,
+        service: SimTime,
+    },
+}
+
+/// One server's flush within a sync.
+struct Flush {
+    bytes: u64,
+    retries: u32,
+    stage: FlushStage,
+}
+
+/// The one engine task behind a [`FileHandle::sync`]: a state machine per
+/// server flush (request → [back-off →] queue and service → reply).
+///
+/// Ordering invariant: every wait is booked on the engine with
+/// [`Sim::schedule_wake`] at the instant, and in the order, that a task
+/// per server sleeping on the same deadline would have booked it, and
+/// `due` replays those bookings in `(deadline, registration order)` — the
+/// engine's own `(time, sequence)` pop order. So each wake-up polls this
+/// task exactly where it would have polled that server's task, and the
+/// poll advances that server's flush. A wait whose deadline has already
+/// come continues inline, as [`s3a_des::Sleep`] does.
+struct SyncFlushes {
+    fs: Rc<FsInner>,
+    client_ep: EndpointId,
+    flushes: Vec<Flush>,
+    /// Booked waits: `(deadline, registration order, server)`.
+    due: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    registered: u64,
+    started: bool,
+    unfinished: usize,
+    outcome: Rc<SyncOutcome>,
+}
+
+impl SyncFlushes {
+    fn new(
+        fs: &Rc<FsInner>,
+        client_ep: EndpointId,
+        dirty: &[u64],
+        outcome: &Rc<SyncOutcome>,
+    ) -> Self {
+        SyncFlushes {
+            fs: Rc::clone(fs),
+            client_ep,
+            flushes: dirty
+                .iter()
+                .map(|&bytes| Flush {
+                    bytes,
+                    retries: 0,
+                    stage: FlushStage::Request,
+                })
+                .collect(),
+            due: BinaryHeap::with_capacity(dirty.len()),
+            registered: 0,
+            started: false,
+            unfinished: dirty.len(),
+            outcome: Rc::clone(outcome),
+        }
+    }
+
+    /// Book the engine wake-up at `at` (in the future) that resumes
+    /// `server`'s flush.
+    fn book(&mut self, me: TaskId, server: usize, at: SimTime) {
+        self.due.push(Reverse((at, self.registered, server)));
+        self.registered += 1;
+        self.fs.sim.schedule_wake(me, at);
+    }
+
+    /// `server`'s flush has finished its current stage: run it until it
+    /// must wait again, or finishes.
+    fn advance(&mut self, me: TaskId, server: usize) {
+        let fs = Rc::clone(&self.fs);
+        let cfg = &fs.cfg;
+        let now = fs.sim.now();
+        loop {
+            let flush = &mut self.flushes[server];
+            let at = match flush.stage {
+                FlushStage::Request | FlushStage::Backoff => {
+                    let service = cfg.sync_overhead + cfg.disk_bw.transfer_time(flush.bytes);
+                    match admit(&fs, server, now, service, &mut flush.retries) {
+                        Admission::Fail(e) => return self.finish(server, Err(e)),
+                        Admission::Retry(backoff) => {
+                            flush.stage = FlushStage::Backoff;
+                            now.saturating_add(backoff)
+                        }
+                        Admission::Serve(service) => {
+                            let (queue_wait, end) = enqueue(&fs, server, now, service);
+                            flush.stage = FlushStage::Service {
+                                queue_wait,
+                                service,
+                            };
+                            end
+                        }
+                    }
+                }
+                FlushStage::Service {
+                    queue_wait,
+                    service,
+                } => {
+                    dequeue(&fs, server, now, queue_wait);
+                    flush.stage = FlushStage::Reply {
+                        served: now,
+                        queue_wait,
+                        service,
+                    };
+                    fs.fabric
+                        .book_transfer(
+                            now,
+                            fs.server_ep(server),
+                            self.client_ep,
+                            cfg.req_header_bytes,
+                        )
+                        .delivered
+                }
+                FlushStage::Reply {
+                    served,
+                    queue_wait,
+                    service,
+                } => {
+                    let bytes = flush.bytes;
+                    fs.bump(|st| {
+                        st.syncs += 1;
+                        st.bytes_flushed += bytes;
+                    });
+                    let obs = fs.obs();
+                    if obs.is_recording() {
+                        obs.span(
+                            Track::Server(server),
+                            "pvfs.sync",
+                            served - service,
+                            served,
+                            &[("bytes", bytes), ("queue_ns", queue_wait.as_nanos())],
+                        );
+                        obs.add("pvfs.sync_requests", 1);
+                        if bytes > 0 {
+                            // The flush drained this server's write-back cache.
+                            obs.sample(Track::Server(server), "pvfs.dirty_bytes", served, 0);
+                        }
+                    }
+                    return self.finish(server, Ok(()));
+                }
+            };
+            if at > now {
+                return self.book(me, server, at);
+            }
+        }
+    }
+
+    /// Hand `server`'s result to the caller, waking it if it waits on
+    /// exactly this server.
+    fn finish(&mut self, server: usize, result: Result<(), PvfsError>) {
+        self.unfinished -= 1;
+        self.outcome.results.borrow_mut()[server] = Some(result);
+        if let Some((s, caller)) = self.outcome.waiter.get() {
+            if s == server {
+                self.outcome.waiter.set(None);
+                self.fs.sim.ready_now(caller);
+            }
+        }
+    }
+}
+
+impl Future for SyncFlushes {
+    type Output = ();
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let me = current_task();
+        let now = this.fs.sim.now();
+        if !this.started {
+            // Book every request in server order, as the first polls of
+            // consecutive per-server tasks would.
+            this.started = true;
+            for server in 0..this.flushes.len() {
+                let plan = this.fs.fabric.book_transfer(
+                    now,
+                    this.client_ep,
+                    this.fs.server_ep(server),
+                    this.fs.cfg.req_header_bytes,
+                );
+                if plan.delivered > now {
+                    this.book(me, server, plan.delivered);
+                } else {
+                    this.advance(me, server);
+                }
+            }
+        } else if let Some(&Reverse((at, _, server))) = this.due.peek() {
+            // Exactly one due stage per wake-up.
+            if at <= now {
+                this.due.pop();
+                this.advance(me, server);
+            }
+        }
+        if this.unfinished == 0 {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    }
 }
 
 async fn run_write_request(
@@ -2069,9 +2354,10 @@ mod tests {
         sim.spawn("writer", async move {
             f2.write_contiguous(client, 0, 4000).await.unwrap();
             assert_eq!(f2.dirty_bytes(), 4000);
-            let t0 = s.now();
+            let (t0, spawned) = (s.now(), s.stats().spawned);
             f2.sync(client).await.unwrap();
             st.set(s.now() - t0);
+            assert_eq!(s.stats().spawned - spawned, 1, "one task per sync");
             assert_eq!(f2.dirty_bytes(), 0);
         });
         sim.run().unwrap();
@@ -2586,6 +2872,262 @@ mod tests {
         for s in 0..4 {
             assert_eq!(fs.server_requests(s), 1);
             assert!(fs.server_busy(s) >= SimTime::from_millis(2));
+        }
+    }
+
+    /// The spawn-per-server sync that [`FileHandle::sync`] replaced, kept
+    /// as its parity oracle: one task per server flush, joined in server
+    /// order.
+    async fn reference_sync(fh: &FileHandle, client_ep: EndpointId) -> Result<(), PvfsError> {
+        let san = fh.fs.san();
+        let claimed = san.sync_begin(&fh.name);
+        let dirty: Vec<u64> = {
+            let mut meta = fh.file.meta.borrow_mut();
+            let d = meta.dirty.clone();
+            for x in meta.dirty.iter_mut() {
+                *x = 0;
+            }
+            d
+        };
+        let sim = fh.fs.sim.clone();
+        let mut joins = Vec::new();
+        for (s, bytes) in dirty.iter().copied().enumerate() {
+            let fs = Rc::clone(&fh.fs);
+            let sm = sim.clone();
+            joins.push(sim.spawn("pvfs-sync", async move {
+                let cfg = &fs.cfg;
+                fs.fabric
+                    .transfer(&sm, client_ep, fs.server_ep(s), cfg.req_header_bytes)
+                    .await;
+                let service = cfg.sync_overhead + cfg.disk_bw.transfer_time(bytes);
+                let info = serve_with_faults(&fs, &sm, s, service).await?;
+                let t_served = sm.now();
+                fs.fabric
+                    .transfer(&sm, fs.server_ep(s), client_ep, cfg.req_header_bytes)
+                    .await;
+                fs.bump(|st| {
+                    st.syncs += 1;
+                    st.bytes_flushed += bytes;
+                });
+                let obs = fs.obs();
+                if obs.is_recording() {
+                    obs.span(
+                        Track::Server(s),
+                        "pvfs.sync",
+                        t_served - info.service,
+                        t_served,
+                        &[("bytes", bytes), ("queue_ns", info.queue_wait.as_nanos())],
+                    );
+                    obs.add("pvfs.sync_requests", 1);
+                    if bytes > 0 {
+                        obs.sample(Track::Server(s), "pvfs.dirty_bytes", t_served, 0);
+                    }
+                }
+                Ok(())
+            }));
+        }
+        let mut result = Ok(());
+        for (s, j) in joins.into_iter().enumerate() {
+            if let Err(e) = j.join().await {
+                if fh.fs.cfg.replicas > 1 && fh.fs.presumed_dead(s) {
+                    fh.fs.bump(|st| st.lost_flush_bytes += dirty[s]);
+                    continue;
+                }
+                fh.file.meta.borrow_mut().dirty[s] += dirty[s];
+                if result.is_ok() {
+                    result = Err(e);
+                }
+            }
+        }
+        san.sync_end(&fh.name, &claimed, result.is_ok());
+        result
+    }
+
+    mod sync_parity {
+        use super::*;
+        use proptest::prelude::*;
+        use s3a_faults::{FaultParams, FaultReport, FaultSchedule, ServerOutage, ServerSlowdown};
+
+        /// A client's operations: `0..SYNC_BELOW` is a sync, anything
+        /// else a write of that many bytes.
+        const SYNC_BELOW: u64 = 1600;
+
+        #[derive(Debug)]
+        struct Scenario {
+            /// 0: the `quick_cfg` costs; 1: whole-millisecond costs and free
+            /// bandwidth, so deadlines tie often; 2: as 1 with zero
+            /// latency, so stages also continue inline.
+            timing: usize,
+            servers: usize,
+            replicated: bool,
+            /// Per client: start delay (ms) and operations.
+            clients: Vec<(u64, Vec<u64>)>,
+            outage: Option<ServerOutage>,
+            slowdown: Option<ServerSlowdown>,
+            max_io_retries: u32,
+            backoff: SimTime,
+            msg_faults_per_mille: u16,
+        }
+
+        #[derive(Debug, PartialEq)]
+        struct Outcome {
+            /// (client, op index, completion instant, result) in
+            /// completion order.
+            ops: Vec<(usize, usize, SimTime, Result<(), PvfsError>)>,
+            end: SimTime,
+            stats: FsStats,
+            busy: Vec<SimTime>,
+            dirty: u64,
+            faults: FaultReport,
+        }
+
+        /// Run `sc` with either sync; also returns the tasks spawned and
+        /// the syncs issued.
+        fn play(sc: &Scenario, reference: bool) -> (Outcome, u64, u64) {
+            let ms = SimTime::from_millis(1);
+            let free = Bandwidth::mib_per_sec(1e12);
+            let (base, net) = match sc.timing {
+                0 => (quick_cfg(), net()),
+                t => (
+                    PvfsConfig {
+                        client_request_turnaround: ms,
+                        client_per_region: SimTime::ZERO,
+                        request_overhead: ms,
+                        region_overhead: SimTime::ZERO,
+                        ingest_bw: free,
+                        disk_bw: free,
+                        sync_overhead: ms,
+                        ..quick_cfg()
+                    },
+                    NetConfig {
+                        latency: if t == 1 { ms } else { SimTime::ZERO },
+                        bandwidth: free,
+                        per_message_overhead: SimTime::ZERO,
+                    },
+                ),
+            };
+            let cfg = PvfsConfig {
+                servers: sc.servers,
+                replicas: if sc.replicated { 2 } else { 1 },
+                ..base
+            };
+            let sim = Sim::new();
+            let nclients = sc.clients.len();
+            let fabric = Rc::new(Fabric::new(nclients + sc.servers, net));
+            let fs = FileSystem::new(&sim, cfg, fabric, nclients);
+            let log = FaultLog::new();
+            fs.set_faults(
+                FaultSchedule::new(FaultParams {
+                    seed: 7,
+                    msg_loss_per_mille: sc.msg_faults_per_mille,
+                    msg_delay_per_mille: sc.msg_faults_per_mille,
+                    msg_dup_per_mille: sc.msg_faults_per_mille,
+                    server_outages: sc.outage.iter().copied().collect(),
+                    server_slowdowns: sc.slowdown.iter().copied().collect(),
+                    detection_timeout: SimTime::from_millis(4),
+                    max_io_retries: sc.max_io_retries,
+                    io_retry_backoff: sc.backoff,
+                    ..FaultParams::default()
+                }),
+                log.clone(),
+            );
+            let fh = fs.open("out");
+            let ops = Rc::new(RefCell::new(Vec::new()));
+            let syncs = Rc::new(Cell::new(0u64));
+            let mut handles = Vec::new();
+            for (c, (start, plan)) in sc.clients.iter().enumerate() {
+                let (fh, ops, syncs, s) =
+                    (fh.clone(), Rc::clone(&ops), Rc::clone(&syncs), sim.clone());
+                let (start, plan) = (*start, plan.clone());
+                handles.push(sim.spawn(format!("client{c}"), async move {
+                    let ep = EndpointId(c);
+                    s.sleep(SimTime::from_millis(start)).await;
+                    let mut offset = c as u64 * 1_000_000;
+                    for (i, op) in plan.into_iter().enumerate() {
+                        let r = if op < SYNC_BELOW {
+                            syncs.set(syncs.get() + 1);
+                            if reference {
+                                reference_sync(&fh, ep).await
+                            } else {
+                                fh.sync(ep).await
+                            }
+                        } else {
+                            offset += op;
+                            fh.write_contiguous(ep, offset - op, op).await
+                        };
+                        ops.borrow_mut().push((c, i, s.now(), r));
+                    }
+                }));
+            }
+            if sc.replicated {
+                let maint = fs.spawn_maintenance(SimTime::from_millis(3));
+                sim.spawn("stopper", async move {
+                    for h in handles {
+                        h.join().await;
+                    }
+                    maint.stop();
+                });
+            }
+            let end = sim.run().unwrap();
+            let outcome = Outcome {
+                ops: ops.take(),
+                end,
+                stats: fs.stats(),
+                busy: (0..sc.servers).map(|s| fs.server_busy(s)).collect(),
+                dirty: fh.dirty_bytes(),
+                faults: log.report(),
+            };
+            (outcome, sim.stats().spawned, syncs.get())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+            #[test]
+            fn one_task_sync_matches_spawn_per_server(
+                shape in (0usize..3, 1usize..6, 1usize..5, any::<bool>()),
+                clients in prop::collection::vec(
+                    (0u64..4, prop::collection::vec(0u64..5000, 1..7)),
+                    4,
+                ),
+                outage in (0usize..6, 0u64..40, 0u64..80, any::<bool>()),
+                slowdown in (0usize..6, 0u64..40, 0u64..80, 2u64..20),
+                retry in (0u32..6, 0u64..6, 0u64..40),
+            ) {
+                let (timing, servers, nclients, replicated) = shape;
+                let replicated = replicated && servers >= 2;
+                let (o_server, o_from, o_len, o_on) = outage;
+                let (sl_server, sl_from, sl_len, sl_factor) = slowdown;
+                let sc = Scenario {
+                    timing,
+                    servers,
+                    replicated,
+                    clients: clients.into_iter().take(nclients).collect(),
+                    outage: o_on.then(|| ServerOutage {
+                        server: o_server % servers,
+                        from: SimTime::from_millis(o_from),
+                        until: SimTime::from_millis(o_from + o_len),
+                    }),
+                    slowdown: (sl_len > 0).then(|| ServerSlowdown {
+                        server: sl_server % servers,
+                        from: SimTime::from_millis(sl_from),
+                        until: SimTime::from_millis(sl_from + sl_len),
+                        factor: sl_factor as f64 / 2.0,
+                    }),
+                    max_io_retries: retry.0,
+                    backoff: SimTime::from_millis(retry.1),
+                    msg_faults_per_mille: retry.2 as u16,
+                };
+                let (one, one_spawned, syncs) = play(&sc, false);
+                let (per_server, per_server_spawned, ref_syncs) = play(&sc, true);
+                prop_assert_eq!(syncs, ref_syncs);
+                prop_assert_eq!(&one, &per_server, "{:?}", sc);
+                // Each sync spawns one task where the oracle spawned one
+                // per server.
+                prop_assert_eq!(
+                    one_spawned + syncs * (servers as u64 - 1),
+                    per_server_spawned
+                );
+            }
         }
     }
 }
